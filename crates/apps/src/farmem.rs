@@ -7,7 +7,7 @@
 
 use dilos_baselines::{Aifm, AifmConfig, Fastswap, FastswapConfig};
 use dilos_core::{Dilos, DilosConfig, NoPrefetch, Readahead, TrendBased};
-use dilos_sim::{MetricsRegistry, Ns, Observability, SpanProfiler};
+use dilos_sim::{MetricsRegistry, Ns, Observability};
 
 /// Observation surface of a far-memory system: counters, traces, telemetry.
 ///
@@ -53,14 +53,8 @@ pub trait Introspect {
         MetricsRegistry::disabled()
     }
 
-    /// Handle to the system's span profiler. Disabled unless the system was
-    /// booted with a metered [`Observability`] bundle.
-    fn profiler(&self) -> SpanProfiler {
-        SpanProfiler::disabled()
-    }
-
     /// `(major, minor, zero_fill)` fault counts *as the event trace records
-    /// them*, for cross-checking trace-derived profiler counts against the
+    /// them*, for cross-checking trace-derived span counts against the
     /// hand-maintained stats. AIFM only traces misses as major faults, so it
     /// reports `(misses, 0, 0)` here even though [`Introspect::fault_counts`]
     /// exposes in-flight waits.
@@ -69,7 +63,7 @@ pub trait Introspect {
     }
 
     /// Hand-maintained per-phase fault-latency sums `(label, ns)`, using the
-    /// same labels as the span profiler's phases. Empty for systems that do
+    /// same labels as the span profile's phases. Empty for systems that do
     /// not keep a phase breakdown.
     fn phase_sums(&self) -> Vec<(&'static str, Ns)> {
         Vec::new()
@@ -173,9 +167,6 @@ impl Introspect for Dilos {
     fn metrics(&self) -> MetricsRegistry {
         Dilos::metrics(self).clone()
     }
-    fn profiler(&self) -> SpanProfiler {
-        Dilos::profiler(self).clone()
-    }
     fn fault_counters(&self) -> (u64, u64, u64) {
         let s = self.stats();
         (s.major_faults, s.minor_faults, s.zero_fills)
@@ -235,9 +226,6 @@ impl Introspect for Fastswap {
     fn metrics(&self) -> MetricsRegistry {
         Fastswap::metrics(self).clone()
     }
-    fn profiler(&self) -> SpanProfiler {
-        Fastswap::profiler(self).clone()
-    }
     fn fault_counters(&self) -> (u64, u64, u64) {
         let s = self.stats();
         (s.major_faults, s.minor_faults, s.zero_fills)
@@ -288,9 +276,6 @@ impl Introspect for Aifm {
     }
     fn metrics(&self) -> MetricsRegistry {
         Aifm::metrics(self).clone()
-    }
-    fn profiler(&self) -> SpanProfiler {
-        Aifm::profiler(self).clone()
     }
     fn fault_counters(&self) -> (u64, u64, u64) {
         // AIFM's trace only marks demand misses as faults; in-flight waits
@@ -382,9 +367,10 @@ pub struct SystemSpec {
     /// Simulated cores.
     pub cores: usize,
     /// The observability bundle handed to the booted system — tracing,
-    /// auditing (DiLOS only), metrics, and the span profiler travel
-    /// together. Read results back via [`Introspect`]. Use a fresh bundle
-    /// per boot; sharing one across systems interleaves their traces.
+    /// auditing (DiLOS only), metrics, and the span assembler travel
+    /// together. Read results back via [`Introspect`], or spans via the
+    /// bundle's [`Observability::spans`]. Use a fresh bundle per boot;
+    /// sharing one across systems interleaves their traces.
     pub obs: Observability,
 }
 

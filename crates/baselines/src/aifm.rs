@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 
 use dilos_sim::{
     Calendar, CoreClock, EventId, FaultKind, MetricsRegistry, Ns, Observability, RdmaEndpoint,
-    SchedEvent, ServiceClass, SimConfig, SpanProfiler, TraceEvent, TraceSink, PAGE_SIZE,
+    SchedEvent, ServiceClass, SimConfig, TraceEvent, TraceSink, PAGE_SIZE,
 };
 
 /// AIFM runtime costs, in virtual nanoseconds.
@@ -64,7 +64,7 @@ pub struct AifmConfig {
     pub prefetch_depth: usize,
     /// Use TCP (AIFM's transport; adds the per-completion handicap).
     pub tcp: bool,
-    /// The observability bundle (trace + metrics + profiler) threaded to
+    /// The observability bundle (trace + metrics + span assembler) threaded to
     /// every component at boot. Pure observation — trace digests are
     /// identical whether metrics are on or off. Use a fresh bundle per
     /// booted node.
@@ -146,8 +146,6 @@ pub struct Aifm {
     trace: TraceSink,
     /// Telemetry registry (dark unless the bundle is metered).
     metrics: MetricsRegistry,
-    /// Span profiler attached to the trace (dark unless metered).
-    profiler: SpanProfiler,
 }
 
 impl std::fmt::Debug for Aifm {
@@ -173,7 +171,6 @@ impl Aifm {
         let obs = cfg.obs.clone();
         let trace = obs.trace().clone();
         let metrics = obs.metrics().clone();
-        let profiler = obs.profiler().clone();
         rdma.observe(&obs);
         let cal = Calendar::new();
         cal.observe(&obs);
@@ -182,7 +179,6 @@ impl Aifm {
             rdma,
             trace,
             metrics,
-            profiler,
             cal,
             pending_land: BTreeMap::new(),
             chunks: BTreeMap::new(),
@@ -217,11 +213,6 @@ impl Aifm {
     /// The telemetry registry (dark unless [`AifmConfig::obs`] is metered).
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// The span profiler (dark unless [`AifmConfig::obs`] is metered).
-    pub fn profiler(&self) -> &SpanProfiler {
-        &self.profiler
     }
 
     /// Order-sensitive digest over every traced event (0 when tracing is

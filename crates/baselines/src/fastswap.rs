@@ -17,7 +17,7 @@
 
 use dilos_sim::{
     Calendar, CoreClock, FaultKind, LruChain, MetricsRegistry, Ns, Observability, RdmaEndpoint,
-    SchedEvent, ServiceClass, SimConfig, SpanProfiler, Timeline, TraceEvent, TraceSink, PAGE_SIZE,
+    SchedEvent, ServiceClass, SimConfig, Timeline, TraceEvent, TraceSink, PAGE_SIZE,
 };
 
 /// Fastswap software costs, in virtual nanoseconds.
@@ -81,7 +81,7 @@ pub struct FastswapConfig {
     pub costs: FastswapCosts,
     /// Readahead cluster size (Linux `page-cluster` default: 8 pages).
     pub readahead_cluster: usize,
-    /// The observability bundle (trace + metrics + profiler) threaded to
+    /// The observability bundle (trace + metrics + span assembler) threaded to
     /// every component at boot. Pure observation — trace digests are
     /// identical whether metrics are on or off. Use a fresh bundle per
     /// booted node.
@@ -219,8 +219,6 @@ pub struct Fastswap {
     trace: TraceSink,
     /// Telemetry registry (dark unless the bundle is metered).
     metrics: MetricsRegistry,
-    /// Span profiler attached to the trace (dark unless metered).
-    profiler: SpanProfiler,
 }
 
 impl std::fmt::Debug for Fastswap {
@@ -247,7 +245,6 @@ impl Fastswap {
         let obs = cfg.obs.clone();
         let trace = obs.trace().clone();
         let metrics = obs.metrics().clone();
-        let profiler = obs.profiler().clone();
         rdma.observe(&obs);
         let cal = Calendar::new();
         cal.observe(&obs);
@@ -258,7 +255,6 @@ impl Fastswap {
             rdma,
             trace,
             metrics,
-            profiler,
             cal,
             state: Vec::new(),
             frames: (0..cfg.local_pages)
@@ -295,11 +291,6 @@ impl Fastswap {
     /// The telemetry registry (dark unless [`FastswapConfig::obs`] is metered).
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// The span profiler (dark unless [`FastswapConfig::obs`] is metered).
-    pub fn profiler(&self) -> &SpanProfiler {
-        &self.profiler
     }
 
     /// Order-sensitive digest over every traced event (0 when tracing is

@@ -19,7 +19,7 @@
 //! bound fails, which is the point.
 
 use dilos_core::{ClusterConfig, ServingCluster, TenantSpec};
-use dilos_sim::{CausalTracer, Observability, ServiceClass};
+use dilos_sim::{Observability, ServiceClass, SpanAssembler};
 
 use crate::loadgen::{drive, Arrival, RequestKind, TenantLoad, TenantResult};
 use crate::table::{us, Report};
@@ -167,9 +167,9 @@ fn run_pass(scale: ServeScale, with_noisy: bool, qos: bool) -> Pass {
 
 /// Boots the contended pass (victims + noisy neighbor) with causal tracing
 /// armed on every traced tenant and returns one labelled track per tenant:
-/// `(label, tracer, trace digest)`. The labels become Perfetto process
-/// names, so a cluster timeline reads as one track group per tenant.
-pub fn serve_timeline_tracks(scale: ServeScale, qos: bool) -> Vec<(String, CausalTracer, u64)> {
+/// `(label, span assembler, trace digest)`. The labels become Perfetto
+/// process names, so a cluster timeline reads as one track group per tenant.
+pub fn serve_timeline_tracks(scale: ServeScale, qos: bool) -> Vec<(String, SpanAssembler, u64)> {
     let obs = [
         Observability::audited().with_timeline(),
         Observability::tracing().with_timeline(),
@@ -201,7 +201,7 @@ pub fn serve_timeline_tracks(scale: ServeScale, qos: bool) -> Vec<(String, Causa
         .map(|(i, o)| {
             (
                 format!("tenant{i} ({}, {mode})", roles[i]),
-                o.causal().clone(),
+                o.spans().clone(),
                 cluster.tenant(i).trace_digest(),
             )
         })

@@ -1,7 +1,7 @@
 //! Telemetry assembly for `repro --metrics`.
 //!
 //! Boots the Tables 1 & 3 systems (Fastswap plus the three DiLOS prefetcher
-//! configurations) with the metrics registry and span profiler enabled,
+//! configurations) with the metrics registry and span profile enabled,
 //! drives the same sequential-read workload, and assembles three artifacts:
 //!
 //! * `metrics.json` — per-system counters, final gauges, and fault-latency
@@ -71,8 +71,9 @@ pub fn collect(scale: crate::micro::MicroScale) -> Vec<SystemTelemetry> {
     let wl = SeqWorkload { pages: scale.pages };
     let mut out = Vec::new();
     for (id, kind) in METERED {
+        let obs = Observability::metered();
         let mut mem = SystemSpec::for_working_set(kind, ws, scale.ratio)
-            .observed(Observability::metered())
+            .observed(obs.clone())
             .boot();
         let base = wl.populate(mem.as_mut());
         wl.read_pass(mem.as_mut(), base);
@@ -80,9 +81,9 @@ pub fn collect(scale: crate::micro::MicroScale) -> Vec<SystemTelemetry> {
         // sampler ticks up to the completion horizon.
         let digest = mem.trace_digest();
         let metrics = mem.metrics();
-        let profiler = mem.profiler();
+        let profile = obs.spans().profile();
         let mut folded = String::new();
-        for line in profiler.folded().lines() {
+        for line in profile.folded().lines() {
             let _ = writeln!(folded, "{id};{line}");
         }
         out.push(SystemTelemetry {
@@ -91,15 +92,15 @@ pub fn collect(scale: crate::micro::MicroScale) -> Vec<SystemTelemetry> {
             digest,
             faults: mem.fault_counters(),
             samples: metrics.samples(),
-            p99_major_ns: profiler
+            p99_major_ns: profile
                 .histogram("major")
                 .map(|h| h.quantile(0.99))
                 .unwrap_or(0),
             counters_json: metrics.counters_json(),
             gauges_json: metrics.gauges_json(),
             series_json: metrics.series_json(),
-            histograms_json: profiler.histograms_json(),
-            phase_quantiles_json: profiler.phase_quantiles_json(),
+            histograms_json: profile.histograms_json(),
+            phase_quantiles_json: profile.phase_quantiles_json(),
             folded,
             interval_ns: metrics.sample_interval_ns(),
         });

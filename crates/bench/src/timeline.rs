@@ -1,16 +1,16 @@
 //! Causal timeline export and critical-path tail analysis.
 //!
 //! `repro --timeline` boots the tab01 systems (and the contended serving
-//! cluster) with the [`CausalTracer`] armed, then renders two kinds of
-//! artifact from the assembled span trees:
+//! cluster) with the [`SpanAssembler`] keeping request trees, then renders
+//! two kinds of artifact from the assembled span trees:
 //!
 //! * **`timeline.json` / `serve_timeline.json`** — Chrome trace-event JSON
 //!   (the format `chrome://tracing` and <https://ui.perfetto.dev> open
 //!   directly). One process per system or tenant, one thread track per
 //!   faulting core plus dedicated prefetch / evict / reclaim lanes and one
-//!   lane per memory node for RDMA verb spans. All timestamps are the
-//!   simulator's *virtual* clock (µs), so two runs produce byte-identical
-//!   files.
+//!   lane per memory node for the requests' paired verb spans. All
+//!   timestamps are the simulator's *virtual* clock (µs), so two runs
+//!   produce byte-identical files.
 //! * **`tail.md` / `tail.json`** — the k worst demand-fault exemplars per
 //!   track with their [`critical_path`] breakdown (queueing / transfer /
 //!   service / replay) and full span trees, so a p99.9 blowup can be read
@@ -26,7 +26,9 @@ use std::fmt::Write as _;
 use dilos_apps::farmem::SystemSpec;
 use dilos_apps::seqrw::SeqWorkload;
 use dilos_sim::TraceEvent;
-use dilos_sim::{critical_path, CausalTracer, Ns, Observability, ReqKind, RequestTrace, PAGE_SIZE};
+use dilos_sim::{
+    critical_path, Ns, Observability, ReqKind, RequestTrace, SpanAssembler, PAGE_SIZE,
+};
 
 use crate::micro::MicroScale;
 use crate::serve::{serve_timeline_tracks, ServeScale};
@@ -50,10 +52,10 @@ pub struct TimelineTrack {
     /// Trace digest of the armed run (must equal the unarmed digest).
     pub digest: u64,
     /// The assembled span trees.
-    pub tracer: CausalTracer,
+    pub tracer: SpanAssembler,
 }
 
-/// Boots every tab01 system with the causal tracer armed and drives the
+/// Boots every tab01 system with request trees armed and drives the
 /// sequential-read workload, returning one labelled track per system.
 pub fn collect_timeline(scale: MicroScale) -> Vec<TimelineTrack> {
     let ws = (scale.pages * PAGE_SIZE) as u64;
@@ -70,7 +72,7 @@ pub fn collect_timeline(scale: MicroScale) -> Vec<TimelineTrack> {
         out.push(TimelineTrack {
             label: id.to_string(),
             digest,
-            tracer: obs.causal().clone(),
+            tracer: obs.spans().clone(),
         });
     }
     out
@@ -112,7 +114,7 @@ fn tid_name(tid: u32) -> String {
 /// Renders a set of tracks as Chrome trace-event JSON (`{"traceEvents":
 /// [...]}`). Every value derives from the virtual clock and the request
 /// register, so the output is byte-identical across runs.
-pub fn chrome_trace_json(tracks: &[(String, &CausalTracer)]) -> String {
+pub fn chrome_trace_json(tracks: &[(String, &SpanAssembler)]) -> String {
     let mut out = String::from("{\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": [\n");
     let mut first = true;
     for (pid0, (label, tracer)) in tracks.iter().enumerate() {
@@ -124,11 +126,7 @@ pub fn chrome_trace_json(tracks: &[(String, &CausalTracer)]) -> String {
         let mut tids: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
         for r in &reqs {
             tids.insert(span_tid(r));
-            for (_, ev) in &r.events {
-                if let TraceEvent::RdmaIssue { node, .. } = ev {
-                    tids.insert(TID_NODE_BASE + u32::from(*node));
-                }
-            }
+            tids.extend(r.verbs.iter().map(|v| TID_NODE_BASE + u32::from(v.node)));
         }
         if !episodes.is_empty() {
             tids.insert(TID_RECLAIM);
@@ -182,57 +180,22 @@ pub fn chrome_trace_json(tracks: &[(String, &CausalTracer)]) -> String {
                     b.dominant(),
                 ),
             );
-            // Verb sub-spans: FIFO-pair issues with completions per queue
-            // pair, drawn on the serving memnode's lane.
-            let mut open: std::collections::BTreeMap<(u8, bool, u8, u8), Vec<Ns>> =
-                std::collections::BTreeMap::new();
-            for (t, ev) in &r.events {
-                match *ev {
-                    TraceEvent::RdmaIssue {
-                        class,
-                        write,
-                        node,
-                        core,
-                        ..
-                    } => open
-                        .entry((class.idx() as u8, write, node, core))
-                        .or_default()
-                        .push(*t),
-                    TraceEvent::RdmaComplete {
-                        class,
-                        write,
-                        node,
-                        core,
-                        done,
-                    } => {
-                        let key = (class.idx() as u8, write, node, core);
-                        let issued = open.get_mut(&key).and_then(|q| {
-                            if q.is_empty() {
-                                None
-                            } else {
-                                Some(q.remove(0))
-                            }
-                        });
-                        if let Some(issued) = issued {
-                            push_event(
-                                &mut out,
-                                &mut first,
-                                &format!(
-                                    "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\"ts\":{},\
-                                     \"dur\":{},\"name\":\"rdma {} ({})\",\
-                                     \"args\":{{\"req\":{}}}}}",
-                                    TID_NODE_BASE + u32::from(node),
-                                    ts_us(issued),
-                                    ts_us(done.saturating_sub(issued)),
-                                    if write { "write" } else { "read" },
-                                    class.label(),
-                                    r.id,
-                                ),
-                            );
-                        }
-                    }
-                    _ => {}
-                }
+            // The request's paired verbs, on the memnode's lane.
+            for v in &r.verbs {
+                push_event(
+                    &mut out,
+                    &mut first,
+                    &format!(
+                        "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\"ts\":{},\"dur\":{},\
+                         \"name\":\"rdma {} ({})\",\"args\":{{\"req\":{}}}}}",
+                        TID_NODE_BASE + u32::from(v.node),
+                        ts_us(v.issued),
+                        ts_us(v.wire()),
+                        if v.write { "write" } else { "read" },
+                        v.class.label(),
+                        r.id,
+                    ),
+                );
             }
         }
         for (begin, end, freed) in &episodes {
@@ -273,7 +236,7 @@ fn is_demand_fault(kind: ReqKind) -> bool {
 /// Picks the `k` slowest demand faults of one track (ties broken by the
 /// earlier request id, so the pick is deterministic).
 pub fn worst_faults(
-    tracer: &CausalTracer,
+    tracer: &SpanAssembler,
     k: usize,
 ) -> Vec<(RequestTrace, dilos_sim::PhaseBreakdown)> {
     let mut faults: Vec<RequestTrace> = tracer
@@ -293,7 +256,7 @@ pub fn worst_faults(
 }
 
 /// Collects the tail exemplars across every track.
-pub fn tail_exemplars(tracks: &[(String, &CausalTracer)], k: usize) -> Vec<TailExemplar> {
+pub fn tail_exemplars(tracks: &[(String, &SpanAssembler)], k: usize) -> Vec<TailExemplar> {
     let mut out = Vec::new();
     for (label, tracer) in tracks {
         for (request, breakdown) in worst_faults(tracer, k) {
@@ -422,7 +385,7 @@ pub fn write_timeline_artifacts(
     out_dir: &str,
 ) -> std::io::Result<Report> {
     let micro = collect_timeline(scale);
-    let micro_tracks: Vec<(String, &CausalTracer)> =
+    let micro_tracks: Vec<(String, &SpanAssembler)> =
         micro.iter().map(|t| (t.label.clone(), &t.tracer)).collect();
     std::fs::write(
         format!("{out_dir}/timeline.json"),
@@ -430,11 +393,11 @@ pub fn write_timeline_artifacts(
     )?;
     // The serving cluster, contended, with and without QoS: the per-tenant
     // tracks cross-check the serve table's lanes.
-    let mut serve_owned: Vec<(String, CausalTracer, u64)> = Vec::new();
+    let mut serve_owned: Vec<(String, SpanAssembler, u64)> = Vec::new();
     for qos in [false, true] {
         serve_owned.extend(serve_timeline_tracks(serve_scale, qos));
     }
-    let serve_tracks: Vec<(String, &CausalTracer)> = serve_owned
+    let serve_tracks: Vec<(String, &SpanAssembler)> = serve_owned
         .iter()
         .map(|(label, tracer, _)| (label.clone(), tracer))
         .collect();
@@ -511,7 +474,7 @@ mod tests {
     fn chrome_export_is_byte_stable_and_well_formed() {
         let mk = || {
             let tracks = collect_timeline(tiny());
-            let pairs: Vec<(String, &CausalTracer)> = tracks
+            let pairs: Vec<(String, &SpanAssembler)> = tracks
                 .iter()
                 .map(|t| (t.label.clone(), &t.tracer))
                 .collect();
@@ -530,7 +493,7 @@ mod tests {
     #[test]
     fn tail_picks_the_slowest_faults_first() {
         let tracks = collect_timeline(tiny());
-        let pairs: Vec<(String, &CausalTracer)> = tracks
+        let pairs: Vec<(String, &SpanAssembler)> = tracks
             .iter()
             .map(|t| (t.label.clone(), &t.tracer))
             .collect();

@@ -18,9 +18,6 @@ pub struct FrameMeta {
     pub ready_at: Ns,
     /// Index into the resident ring, for O(1) removal on eviction.
     pub ring_slot: usize,
-    /// Virtual time of the most recent access (recency diagnostics; the
-    /// eviction order itself lives in the node's exact LRU chain).
-    pub last_access: Ns,
 }
 
 const NO_VPN: u64 = u64::MAX;
@@ -62,7 +59,6 @@ impl FrameArena {
                     vpn: NO_VPN,
                     ready_at: 0,
                     ring_slot: usize::MAX,
-                    last_access: 0,
                 };
                 frames
             ],
@@ -138,7 +134,6 @@ impl FrameArena {
             vpn: NO_VPN,
             ready_at: 0,
             ring_slot: usize::MAX,
-            last_access: 0,
         };
         self.free.push(FreeFrame {
             frame,

@@ -27,7 +27,7 @@ use std::rc::Rc;
 use dilos_sim::{
     Calendar, CoreClock, EventId, FaultKind, FaultPhase, MetricsRegistry, Ns, Observability,
     PteClass, RdmaEndpoint, RdmaPort, RecoverConfig, RecoveryStats, ReqId, SchedEvent, Segment,
-    ServiceClass, SimConfig, SpanProfiler, TraceEvent, TraceSink, PAGE_SIZE,
+    ServiceClass, SimConfig, TraceEvent, TraceSink, PAGE_SIZE,
 };
 
 use crate::audit::Auditor;
@@ -136,7 +136,7 @@ pub struct DilosConfig {
     /// a property of the endpoint, which the pool owns.
     pub recovery: Option<RecoverConfig>,
     /// The observability bundle: trace sink, metrics registry, span
-    /// profiler, and audit flag, built once via [`Observability`]'s
+    /// assembler, and audit flag, built once via [`Observability`]'s
     /// constructors and threaded down to every component. Pure observation
     /// — trace digests are identical with metrics on or off.
     pub obs: Observability,
@@ -240,10 +240,6 @@ pub struct Dilos {
     prefetch_buf: Vec<u64>,
     /// Scratch for guided-fetch segment vectors (reused across faults).
     seg_buf: Vec<Segment>,
-    /// Optional major-fault trace for diagnostics (VPNs, in order).
-    fault_log: Option<Vec<u64>>,
-    /// Optional eviction trace: `(vpn, last_access, eviction_time)`.
-    evict_log: Option<Vec<(u64, Ns, Ns)>>,
     /// Structured event trace (dark unless `cfg.trace`/`cfg.audit`).
     trace: TraceSink,
     /// Online invariant checker attached to the trace.
@@ -251,8 +247,6 @@ pub struct Dilos {
     /// Telemetry registry shared with the scheduler, RDMA endpoint, memory
     /// nodes, fabric, and LRU (dark unless `cfg.metrics`).
     metrics: MetricsRegistry,
-    /// Span profiler attached to the trace (dark unless `cfg.metrics`).
-    profiler: SpanProfiler,
 }
 
 impl std::fmt::Debug for Dilos {
@@ -319,7 +313,6 @@ impl Dilos {
             None
         };
         let metrics = obs.metrics().clone();
-        let profiler = obs.profiler().clone();
         let mut lru = dilos_sim::LruChain::new();
         lru.observe(&obs);
         let mut frames = FrameArena::new(cfg.local_pages);
@@ -361,12 +354,9 @@ impl Dilos {
             cfg,
             prefetch_buf: Vec::new(),
             seg_buf: Vec::new(),
-            fault_log: None,
-            evict_log: None,
             trace,
             audit,
             metrics,
-            profiler,
         }
     }
 
@@ -392,26 +382,6 @@ impl Dilos {
     /// Installs an app-aware paging guide (§4.4).
     pub fn set_paging_guide(&mut self, g: Rc<RefCell<dyn PagingGuide>>) {
         self.paging_guide = Some(g);
-    }
-
-    /// Enables major-fault tracing (diagnostics).
-    pub fn enable_fault_log(&mut self) {
-        self.fault_log = Some(Vec::new());
-    }
-
-    /// Takes the recorded major-fault VPN trace.
-    pub fn take_fault_log(&mut self) -> Vec<u64> {
-        self.fault_log.take().unwrap_or_default()
-    }
-
-    /// Enables eviction tracing (diagnostics).
-    pub fn enable_evict_log(&mut self) {
-        self.evict_log = Some(Vec::new());
-    }
-
-    /// Takes the recorded eviction trace: `(vpn, last_access, when)`.
-    pub fn take_evict_log(&mut self) -> Vec<(u64, Ns, Ns)> {
-        self.evict_log.take().unwrap_or_default()
     }
 
     /// Node statistics.
@@ -440,12 +410,6 @@ impl Dilos {
     /// `DilosConfig::metrics`).
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// The span profiler (disabled unless booted with
-    /// `DilosConfig::metrics`).
-    pub fn profiler(&self) -> &SpanProfiler {
-        &self.profiler
     }
 
     /// Order-sensitive digest over every traced event so far (0 when
@@ -861,12 +825,10 @@ impl Dilos {
                 self.tlb[core][way].dirty_marked = true;
             }
             self.stats.local_hits += 1;
-            self.frames.meta_mut(e.frame).last_access = self.clocks[core].now();
             self.lru.touch(e.frame as u64);
             return e.frame;
         }
         let frame = self.resolve(core, vpn, is_write);
-        self.frames.meta_mut(frame).last_access = self.clocks[core].now();
         self.lru.touch(frame as u64);
         let gen = self.pt.generation();
         self.tlb[core][way] = TlbEntry {
@@ -1120,9 +1082,6 @@ impl Dilos {
         let t_end = t_ready + costs.map_ns;
         self.clocks[core].wait_until(t_end);
         self.stats.major_faults += 1;
-        if let Some(log) = &mut self.fault_log {
-            log.push(vpn);
-        }
         let check = costs.pte_check_ns
             + if self.cfg.swap_cache_mode {
                 costs.swapcache_mgmt_ns
@@ -1694,9 +1653,6 @@ impl Dilos {
         t: Ns,
         class: ServiceClass,
     ) -> Ns {
-        if let Some(log) = &mut self.evict_log {
-            log.push((vpn, self.frames.meta(frame).last_access, t));
-        }
         // Each eviction is its own causal request (whether it runs on the
         // background reclaimer or as direct reclaim inside a fault).
         let prev_req = self.trace.begin_request();

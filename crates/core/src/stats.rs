@@ -36,7 +36,7 @@ impl FaultBreakdown {
     }
 
     /// Per-phase raw sums `(label, ns)` in plot order. The labels match the
-    /// span profiler's phase names, so trace-derived phase totals can be
+    /// span profile's phase labels, so trace-derived phase totals can be
     /// cross-checked against these hand-maintained counters directly.
     pub fn sums(&self) -> [(&'static str, Ns); 6] {
         [

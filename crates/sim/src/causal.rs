@@ -1,27 +1,27 @@
-//! Causal request tracing: per-request span trees over the event stream.
+//! Causal request tracing: per-request span trees and their critical path.
 //!
-//! PR 4's profiler answers "how much time did faults spend in each phase in
-//! aggregate"; this module answers "*which* phase dominated *this* fault".
-//! Every demand fault, prefetch, and eviction is assigned a stable
-//! [`ReqId`] at origin (see
+//! The aggregate [`Profile`](crate::metrics::Profile) answers "how much time
+//! did faults spend in each phase"; this module answers "*which* phase
+//! dominated *this* fault". Every demand fault, prefetch, and eviction is
+//! assigned a stable [`ReqId`] at origin (see
 //! [`TraceSink::begin_request`](crate::trace::TraceSink::begin_request)) and
 //! the id rides the side band to observers: it is never folded into the
 //! digest, never schedules calendar work, and never perturbs data-path
-//! timing — arming a [`CausalTracer`] leaves a run's digest byte-identical
-//! to an unarmed run, exactly like the PR 4 sampler.
+//! timing.
 //!
-//! The tracer is a passive [`TraceObserver`]: it groups events by their
-//! request id into [`RequestTrace`] records (span trees), tracks background
-//! reclaim episodes separately, and [`critical_path`] attributes each
-//! request's latency to queueing / transfer / service / replay so the tail
-//! report in `dilos-bench` can name the dominant phase of the p99.9
-//! exemplars instead of an aggregate mean.
+//! The [`SpanAssembler`](crate::spans::SpanAssembler), armed by
+//! [`Observability::with_timeline`](crate::Observability::with_timeline),
+//! groups events by request id into [`RequestTrace`] records and hands each
+//! record its paired verb spans; background reclaim episodes are kept
+//! separately. [`critical_path`] then attributes each request's latency to
+//! queueing / transfer / service / replay, so the tail report in
+//! `dilos-bench` can name the dominant phase of the p99.9 exemplars instead
+//! of an aggregate mean.
 
+use crate::spans::VerbSpan;
 use crate::time::Ns;
-use crate::trace::{FaultKind, FaultPhase, ReqId, TraceEvent, TraceObserver, TraceSink};
-use std::cell::RefCell;
+use crate::trace::{FaultKind, FaultPhase, ReqId, TraceEvent};
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 /// What kind of causal request a span tree describes, inferred from the
 /// first kind-bearing event emitted under its id.
@@ -72,6 +72,8 @@ pub struct RequestTrace {
     pub end: Ns,
     /// Every event attributed to this request, in emission order.
     pub events: Vec<(Ns, TraceEvent)>,
+    /// The verbs this request posted, paired, in completion order.
+    pub verbs: Vec<VerbSpan>,
 }
 
 impl RequestTrace {
@@ -125,7 +127,7 @@ impl PhaseBreakdown {
 /// Major faults use their `FaultPhase` durations (alloc → queueing, fetch →
 /// transfer, exception/check/map/reclaim → service). Minor faults are pure
 /// queueing (the handler waits on an in-flight fetch). Zero fills are pure
-/// service. Prefetches split into wire time (issue → completion `done`) and
+/// service. Prefetches split into wire time (the request's verb spans) and
 /// queueing (landing deferral). Evictions split into writeback wire time
 /// and service. Any window that overlaps recovery-replay events moves its
 /// transfer share to `replay`.
@@ -150,11 +152,15 @@ pub fn critical_path(r: &RequestTrace) -> PhaseBreakdown {
         }
     }
     if !saw_phase {
+        let wire = r
+            .verbs
+            .iter()
+            .fold(0, |sum: Ns, v| sum.saturating_add(v.wire()));
         match r.kind {
             ReqKind::MinorFault => b.queueing = total,
             ReqKind::ZeroFill | ReqKind::Other => b.service = total,
             ReqKind::Prefetch | ReqKind::Evict => {
-                b.transfer = wire_time(r).min(total);
+                b.transfer = wire.min(total);
                 if r.kind == ReqKind::Prefetch {
                     b.queueing = total.saturating_sub(b.transfer);
                 } else {
@@ -164,7 +170,7 @@ pub fn critical_path(r: &RequestTrace) -> PhaseBreakdown {
             // A phase-less major fault (a baseline that does not emit
             // phases): charge wire time to transfer, the rest to service.
             ReqKind::MajorFault => {
-                b.transfer = wire_time(r).min(total);
+                b.transfer = wire.min(total);
                 b.service = total.saturating_sub(b.transfer);
             }
         }
@@ -192,69 +198,30 @@ pub fn critical_path(r: &RequestTrace) -> PhaseBreakdown {
     b
 }
 
-/// Total wire time of the request: per-QP FIFO pairing of `RdmaIssue` with
-/// the matching `RdmaComplete` `done` horizon.
-fn wire_time(r: &RequestTrace) -> Ns {
-    let mut open: BTreeMap<(u8, bool, u8, u8), Vec<Ns>> = BTreeMap::new();
-    let mut sum: Ns = 0;
-    for (t, ev) in &r.events {
-        match *ev {
-            TraceEvent::RdmaIssue {
-                class,
-                write,
-                node,
-                core,
-                ..
-            } => {
-                open.entry((class.idx() as u8, write, node, core))
-                    .or_default()
-                    .push(*t);
-            }
-            TraceEvent::RdmaComplete {
-                class,
-                write,
-                node,
-                core,
-                done,
-            } => {
-                let key = (class.idx() as u8, write, node, core);
-                if let Some(q) = open.get_mut(&key) {
-                    if !q.is_empty() {
-                        let issued = q.remove(0);
-                        sum = sum.saturating_add(done.saturating_sub(issued));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    sum
-}
-
+/// The request-tree half of the span assembler: every event attributed to
+/// a request, grouped by id, plus the background reclaim episodes.
 #[derive(Debug, Default)]
-struct CausalCore {
-    reqs: BTreeMap<ReqId, RequestTrace>,
-    open_reclaim: Option<(Ns, u32)>,
+pub(crate) struct RequestLog {
+    pub(crate) reqs: BTreeMap<ReqId, RequestTrace>,
+    /// Paired verbs in completion order, tagged with their request. Kept
+    /// in one flat list rather than a `Vec` per request: most requests post
+    /// one verb, and a per-request list would cost an allocation each.
+    verbs: Vec<(ReqId, VerbSpan)>,
     /// Background reclaim episodes: (begin, end, frames freed).
-    reclaim_episodes: Vec<(Ns, Ns, u32)>,
+    pub(crate) episodes: Vec<(Ns, Ns, u32)>,
 }
 
-impl CausalCore {
-    fn record(&mut self, t: Ns, ev: &TraceEvent, req: Option<ReqId>) {
-        let Some(id) = req else {
-            // Unattributed stream: only the background reclaim envelope is
-            // interesting (per-request reclaim shows up via FaultPhase).
-            match *ev {
-                TraceEvent::ReclaimBegin { free } => self.open_reclaim = Some((t, free)),
-                TraceEvent::ReclaimEnd { freed } => {
-                    if let Some((begin, _)) = self.open_reclaim.take() {
-                        self.reclaim_episodes.push((begin, t, freed));
-                    }
-                }
-                _ => {}
-            }
-            return;
-        };
+impl RequestLog {
+    /// Appends `ev` to `owner`'s span tree, with the `verb` it completed if
+    /// any. Unattributed events stay out.
+    pub(crate) fn record(
+        &mut self,
+        t: Ns,
+        ev: &TraceEvent,
+        owner: Option<ReqId>,
+        verb: Option<VerbSpan>,
+    ) {
+        let Some(id) = owner else { return };
         let r = self.reqs.entry(id).or_insert_with(|| RequestTrace {
             id,
             kind: ReqKind::Other,
@@ -263,6 +230,7 @@ impl CausalCore {
             begin: t,
             end: t,
             events: Vec::new(),
+            verbs: Vec::new(),
         });
         r.end = r.end.max(t);
         match *ev {
@@ -300,70 +268,18 @@ impl CausalCore {
             _ => {}
         }
         r.events.push((t, *ev));
-    }
-}
-
-impl TraceObserver for CausalCore {
-    fn on_event(&mut self, t: Ns, ev: &TraceEvent) {
-        self.record(t, ev, None);
+        self.verbs.extend(verb.map(|v| (id, v)));
     }
 
-    fn on_event_req(&mut self, t: Ns, ev: &TraceEvent, req: Option<ReqId>) {
-        self.record(t, ev, req);
-    }
-}
-
-/// Cloneable handle to a (possibly absent) causal recorder, following the
-/// same dark-handle pattern as [`TraceSink`] and `SpanProfiler`: the
-/// default / `disabled()` handle observes nothing and costs nothing.
-#[derive(Debug, Clone, Default)]
-pub struct CausalTracer {
-    inner: Option<Rc<RefCell<CausalCore>>>,
-}
-
-impl CausalTracer {
-    /// The dark handle: records nothing.
-    pub fn disabled() -> Self {
-        Self { inner: None }
-    }
-
-    /// A live recorder (attach it to a sink with [`CausalTracer::attach_to`]).
-    pub fn recording() -> Self {
-        Self {
-            inner: Some(Rc::new(RefCell::new(CausalCore::default()))),
+    /// Every span tree with its verbs, in request-id (origin) order.
+    pub(crate) fn traces(&self) -> Vec<RequestTrace> {
+        let mut reqs = self.reqs.clone();
+        for (id, v) in &self.verbs {
+            if let Some(r) = reqs.get_mut(id) {
+                r.verbs.push(*v);
+            }
         }
-    }
-
-    /// Whether span trees are being assembled.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Registers this tracer as an observer of `trace`. Call once per sink;
-    /// `Observability::with_timeline` does this for bundles.
-    pub fn attach_to(&self, trace: &TraceSink) {
-        if let Some(core) = &self.inner {
-            trace.attach(core.clone());
-        }
-    }
-
-    /// Number of requests with at least one attributed event.
-    pub fn request_count(&self) -> usize {
-        self.inner.as_ref().map_or(0, |c| c.borrow().reqs.len())
-    }
-
-    /// All assembled span trees, in request-id (origin) order.
-    pub fn requests(&self) -> Vec<RequestTrace> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |c| c.borrow().reqs.values().cloned().collect())
-    }
-
-    /// Background reclaim episodes as (begin, end, frames freed).
-    pub fn reclaim_episodes(&self) -> Vec<(Ns, Ns, u32)> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |c| c.borrow().reclaim_episodes.clone())
+        reqs.into_values().collect()
     }
 }
 
@@ -371,22 +287,21 @@ impl CausalTracer {
 mod tests {
     use super::*;
     use crate::fabric::ServiceClass;
+    use crate::spans::SpanAssembler;
+    use crate::trace::TraceSink;
 
-    fn armed() -> (TraceSink, CausalTracer) {
+    fn armed() -> (TraceSink, SpanAssembler) {
         let sink = TraceSink::recording();
-        let tracer = CausalTracer::recording();
-        tracer.attach_to(&sink);
+        let tracer = SpanAssembler::attach(&sink, false, true);
         (sink, tracer)
     }
 
     #[test]
-    fn disabled_tracer_records_nothing() {
+    fn profile_only_assembler_records_no_requests() {
         let sink = TraceSink::recording();
-        let tracer = CausalTracer::disabled();
-        tracer.attach_to(&sink);
+        let tracer = SpanAssembler::attach(&sink, true, false);
         sink.begin_request();
         sink.emit(1, TraceEvent::FrameAlloc { frame: 0 });
-        assert!(!tracer.is_enabled());
         assert_eq!(tracer.request_count(), 0);
         assert!(tracer.requests().is_empty());
     }

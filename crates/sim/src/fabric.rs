@@ -18,7 +18,7 @@ use crate::timeline::Timeline;
 use crate::trace::{TraceEvent, TraceSink};
 
 /// The originating module of a verb, mapping onto DiLOS's per-module queues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ServiceClass {
     /// Demand fetches issued by the page fault handler (highest urgency).
     Fault,

@@ -27,19 +27,20 @@
 //!   uses.
 //! - [`stats`]: latency histograms and bandwidth time series used to
 //!   regenerate the paper's tables and figures.
+//! - [`spans`]: the [`SpanAssembler`], the one observer that pairs the
+//!   trace stream's begin/end events into fault, verb, and reclaim spans.
 //! - [`metrics`]: the virtual-time telemetry layer — a deterministic
 //!   [`MetricsRegistry`] of per-core counters and sampled gauges, plus the
-//!   [`SpanProfiler`] that folds the trace stream into flamegraph stacks
-//!   and fault-latency histograms.
+//!   [`Profile`] the assembler folds into flamegraph stacks and
+//!   fault-latency histograms.
 //! - [`rng`]: deterministic random streams and the size/popularity
 //!   distributions the evaluation workloads need.
-//! - [`obs`]: the unified [`Observability`] bundle (trace + metrics +
-//!   profiler + causal tracer + audit flag) handed to boot paths once and
-//!   threaded down.
-//! - [`causal`]: per-request span trees ([`CausalTracer`]) assembled from
-//!   side-band request ids, plus the [`critical_path`] analyzer that
-//!   attributes each request's latency to queueing / transfer / service /
-//!   replay.
+//! - [`obs`]: the unified [`Observability`] bundle (trace + metrics + span
+//!   assembler + audit flag) handed to boot paths once and threaded down.
+//! - [`causal`]: per-request span trees ([`RequestTrace`]) the assembler
+//!   builds from side-band request ids, plus the [`critical_path`] analyzer
+//!   that attributes each request's latency to queueing / transfer /
+//!   service / replay.
 //! - [`cluster`]: multi-tenant sharing of one endpoint ([`SharedPool`],
 //!   [`RdmaPort`]) with per-tenant protection keys, QP lanes, and QoS
 //!   bandwidth arbitration.
@@ -65,25 +66,27 @@ pub mod rdma;
 pub mod recover;
 pub mod rng;
 pub mod sched;
+pub mod spans;
 pub mod stats;
 pub mod store;
 pub mod time;
 pub mod timeline;
 pub mod trace;
 
-pub use causal::{critical_path, CausalTracer, PhaseBreakdown, ReqKind, RequestTrace};
+pub use causal::{critical_path, PhaseBreakdown, ReqKind, RequestTrace};
 pub use cluster::{RdmaPort, SharedPool};
 pub use config::SimConfig;
 pub use ec::{EcError, Gf256, ReedSolomon};
 pub use fabric::{Fabric, ServiceClass};
 pub use lru::LruChain;
 pub use memnode::{MemoryNode, RegionHandle};
-pub use metrics::{MetricsRegistry, SpanProfiler, DEFAULT_SAMPLE_INTERVAL_NS};
+pub use metrics::{MetricsRegistry, Profile, DEFAULT_SAMPLE_INTERVAL_NS};
 pub use obs::Observability;
 pub use rdma::{RdmaEndpoint, RdmaError, Segment};
 pub use recover::{RecoverConfig, RecoveryStats};
 pub use rng::{MixedSizes, SplitMix64, Zipf};
 pub use sched::{Calendar, EventId, SchedEvent};
+pub use spans::{SpanAssembler, VerbSpan};
 pub use stats::{BandwidthRecorder, LatencyHistogram};
 pub use store::{BTreeStore, FlatStore, MemStore};
 pub use time::{CoreClock, Ns, PAGE_SIZE};

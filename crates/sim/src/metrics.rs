@@ -1,10 +1,10 @@
 //! Virtual-time telemetry: a metrics registry, a calendar-driven gauge
-//! sampler, and a span profiler over the trace stream.
+//! sampler, and the aggregate span profile.
 //!
 //! The paper's headline evidence is observability output — fault-latency
 //! breakdowns (Figs. 1/6), RDMA curves (Fig. 2), bandwidth and occupancy
-//! behaviour under eager reclaim — and this module unifies the repo's
-//! fragmented instrumentation behind three deterministic surfaces:
+//! behaviour under eager reclaim — and this module holds its three
+//! deterministic aggregate surfaces:
 //!
 //! 1. [`MetricsRegistry`] — shared-nothing per-core counters and named
 //!    gauges, all `BTreeMap`-keyed so no enumeration can leak hash order.
@@ -20,18 +20,18 @@
 //!    and therefore how many reclaim batches — a run executes. With a
 //!    private calendar the main calendars' contents (including sequence
 //!    numbers) are bit-identical with metrics on or off.
-//! 3. [`SpanProfiler`] — a [`TraceObserver`] that folds the existing
-//!    [`TraceEvent`] stream (fault begin/phase/end, RDMA verbs, reclaim
-//!    episodes) into per-core hierarchical spans, emitting a
-//!    flamegraph.pl/inferno-compatible folded-stack file plus end-to-end
-//!    fault-latency histograms per fault kind.
+//! 3. [`Profile`] — what the [`SpanAssembler`](crate::spans::SpanAssembler)
+//!    folds its completed fault, verb, and reclaim spans into when the run
+//!    is metered: a flamegraph.pl/inferno-compatible folded-stack file plus
+//!    end-to-end fault-latency histograms per fault kind and duration
+//!    histograms per fault phase. The profile pairs nothing itself.
 //!
-//! Like [`TraceSink`], both handles follow the `Option`-branch pattern:
-//! `disabled()` (the default) is a `None` that makes every operation a
-//! single branch, and telemetry is a pure observer either way — it never
-//! emits trace events, never schedules on a shared calendar, and never
-//! feeds back into simulation decisions, so trace digests are byte-stable
-//! under it.
+//! Like [`TraceSink`](crate::trace::TraceSink), the registry follows the
+//! `Option`-branch pattern: `disabled()` (the default) is a `None` that
+//! makes every operation a single branch, and telemetry is a pure observer
+//! either way — it never emits trace events, never schedules on a shared
+//! calendar, and never feeds back into simulation decisions, so trace
+//! digests are byte-stable under it.
 //!
 //! All JSON emitted here is hand-rolled (the workspace deliberately has no
 //! serialization dependency) and byte-stable: map iteration order is the
@@ -39,14 +39,16 @@
 //! so no string escaping is needed.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
+use crate::fabric::ServiceClass;
 use crate::sched::{Calendar, SchedEvent};
+use crate::spans::VerbSpan;
 use crate::stats::LatencyHistogram;
 use crate::time::Ns;
-use crate::trace::{FaultKind, FaultPhase, TraceEvent, TraceObserver, TraceSink};
+use crate::trace::{FaultKind, FaultPhase};
 
 /// Default gauge-sampling interval: 50 µs of virtual time — fine enough to
 /// see reclaim episodes, coarse enough that bench-scale runs keep their
@@ -336,219 +338,113 @@ impl MetricsRegistry {
     }
 }
 
-/// A fault span opened by `FaultBegin` and not yet closed.
-#[derive(Debug, Clone, Copy)]
-struct OpenFault {
-    kind: FaultKind,
-    begin: Ns,
-    /// Virtual time already attributed to named phases: the `FaultEnd`
-    /// residual (if any) is charged to the bare fault frame so the folded
-    /// stacks sum to wall (virtual) time per fault.
-    charged: Ns,
+/// A folded-stack frame path, keyed by integers and rendered to text only
+/// when the profile is written out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Stack {
+    /// `core{n};fault:{kind}`, or `…;{phase}` for time charged to a phase.
+    Fault(u8, FaultKind, Option<FaultPhase>),
+    /// `core{n};rdma:{class}:{read|write}`.
+    Verb(u8, ServiceClass, bool),
+    /// `bg;reclaim`.
+    Reclaim,
 }
 
-#[derive(Debug, Default)]
-struct ProfilerCore {
-    /// Per-core open fault span (the handler is synchronous per core).
-    open: BTreeMap<u8, OpenFault>,
-    /// Folded stack → accumulated virtual ns. `String` keys in a `BTreeMap`
-    /// give byte-stable output order.
-    folded: BTreeMap<String, u128>,
-    /// End-to-end fault latency per fault kind.
-    hist: BTreeMap<&'static str, LatencyHistogram>,
-    /// Completed fault spans per kind (cross-checked against the systems'
-    /// hand-maintained counters).
-    counts: BTreeMap<&'static str, u64>,
-    /// Total virtual ns per fault phase across all spans.
-    phase_sums: BTreeMap<&'static str, Ns>,
-    /// Per-phase duration distribution across all spans (one sample per
-    /// `FaultPhase` event), backing the per-phase latency quantiles.
-    phase_hist: BTreeMap<&'static str, LatencyHistogram>,
-    /// In-flight verbs per `(class, write, node, core)` queue-pair key.
-    /// Same-key verbs complete FIFO, so issue times pop front-first.
-    rdma_open: BTreeMap<(u8, bool, u8, u8), VecDeque<Ns>>,
-    /// The open background reclaim episode, if any.
-    reclaim_open: Option<Ns>,
-}
-
-impl TraceObserver for ProfilerCore {
-    fn on_event(&mut self, t: Ns, ev: &TraceEvent) {
-        match *ev {
-            TraceEvent::FaultBegin { core, kind, .. } => {
-                self.open.insert(
-                    core,
-                    OpenFault {
-                        kind,
-                        begin: t,
-                        charged: 0,
-                    },
-                );
-            }
-            TraceEvent::FaultPhase { core, phase, dur } => {
-                if let Some(f) = self.open.get_mut(&core) {
-                    f.charged += dur;
-                    let kind = kind_label(f.kind);
-                    let key = format!("core{core};fault:{kind};{}", phase_label(phase));
-                    *self.folded.entry(key).or_default() += dur as u128;
-                    *self.phase_sums.entry(phase_label(phase)).or_default() += dur;
-                    self.phase_hist
-                        .entry(phase_label(phase))
-                        .or_default()
-                        .record(dur);
-                }
-            }
-            TraceEvent::FaultEnd { core, .. } => {
-                if let Some(f) = self.open.remove(&core) {
-                    let total = t.saturating_sub(f.begin);
-                    let kind = kind_label(f.kind);
-                    self.hist.entry(kind).or_default().record(total);
-                    *self.counts.entry(kind).or_default() += 1;
-                    // Phases may double-charge overlapped work (reclaim
-                    // hidden inside the fetch window), so the residual is
-                    // saturating.
-                    let residual = total.saturating_sub(f.charged);
-                    if residual > 0 {
-                        let key = format!("core{core};fault:{kind}");
-                        *self.folded.entry(key).or_default() += residual as u128;
-                    }
-                }
-            }
-            TraceEvent::RdmaIssue {
-                class,
-                write,
-                node,
-                core,
-                ..
-            } => {
-                self.rdma_open
-                    .entry((class.idx() as u8, write, node, core))
-                    .or_default()
-                    .push_back(t);
-            }
-            TraceEvent::RdmaComplete {
-                class,
-                write,
-                node,
-                core,
-                done,
-            } => {
-                let key = (class.idx() as u8, write, node, core);
-                if let Some(t0) = self.rdma_open.get_mut(&key).and_then(VecDeque::pop_front) {
-                    let rw = if write { "write" } else { "read" };
-                    let stack = format!("core{core};rdma:{}:{rw}", class.label());
-                    *self.folded.entry(stack).or_default() += done.saturating_sub(t0) as u128;
-                }
-            }
-            TraceEvent::ReclaimBegin { .. } => {
-                self.reclaim_open = Some(t);
-            }
-            TraceEvent::ReclaimEnd { .. } => {
-                if let Some(t0) = self.reclaim_open.take() {
-                    *self.folded.entry("bg;reclaim".to_string()).or_default() +=
-                        t.saturating_sub(t0) as u128;
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Cloneable handle to a (possibly absent) span profiler.
-///
-/// Attach it to a [`TraceSink`] with [`SpanProfiler::attach_to`]; it then
-/// consumes every event synchronously, like the auditor, without emitting
-/// anything back — a pure observer.
-#[derive(Clone, Default)]
-pub struct SpanProfiler {
-    inner: Option<Rc<RefCell<ProfilerCore>>>,
-}
-
-impl std::fmt::Debug for SpanProfiler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            None => write!(f, "SpanProfiler(disabled)"),
-            Some(core) => {
-                let c = core.borrow();
-                write!(
-                    f,
-                    "SpanProfiler(stacks={}, open={})",
-                    c.folded.len(),
-                    c.open.len()
+impl Stack {
+    fn render(self) -> String {
+        match self {
+            Stack::Fault(core, kind, None) => format!("core{core};fault:{}", kind_label(kind)),
+            Stack::Fault(core, kind, Some(phase)) => {
+                format!(
+                    "core{core};fault:{};{}",
+                    kind_label(kind),
+                    phase_label(phase)
                 )
             }
+            Stack::Verb(core, class, write) => {
+                let rw = if write { "write" } else { "read" };
+                format!("core{core};rdma:{}:{rw}", class.label())
+            }
+            Stack::Reclaim => "bg;reclaim".to_string(),
         }
     }
 }
 
-impl SpanProfiler {
-    /// The dark handle: nothing is recorded.
-    pub fn disabled() -> Self {
-        Self { inner: None }
+/// The aggregate view of a metered run, folded from the spans the
+/// [`SpanAssembler`](crate::spans::SpanAssembler) pairs: flamegraph stacks,
+/// end-to-end fault latency per kind, and duration per fault phase. The
+/// default (what an unmetered run reports) is empty and renders `""` /
+/// `{}`.
+#[derive(Debug, Clone, Default)]
+pub struct Profile {
+    /// Stack → accumulated virtual ns.
+    folded: BTreeMap<Stack, u128>,
+    /// End-to-end latency of completed faults, per kind label.
+    faults: BTreeMap<&'static str, LatencyHistogram>,
+    /// One sample per `FaultPhase` of an open fault, per phase label.
+    phases: BTreeMap<&'static str, LatencyHistogram>,
+}
+
+impl Profile {
+    fn add(&mut self, stack: Stack, ns: Ns) {
+        *self.folded.entry(stack).or_default() += ns as u128;
     }
 
-    /// A recording profiler (attach it to a sink to feed it).
-    pub fn recording() -> Self {
-        Self {
-            inner: Some(Rc::new(RefCell::new(ProfilerCore::default()))),
+    pub(crate) fn phase(&mut self, core: u8, kind: FaultKind, phase: FaultPhase, dur: Ns) {
+        self.add(Stack::Fault(core, kind, Some(phase)), dur);
+        self.phases
+            .entry(phase_label(phase))
+            .or_default()
+            .record(dur);
+    }
+
+    /// A completed fault of `total` ns, `charged` of them to named phases:
+    /// the residual goes to the bare fault frame, so a fault's stacks sum to
+    /// its latency. Phases may double-charge overlapped work (reclaim hidden
+    /// inside the fetch window), so the residual saturates.
+    pub(crate) fn fault(&mut self, core: u8, kind: FaultKind, total: Ns, charged: Ns) {
+        self.faults
+            .entry(kind_label(kind))
+            .or_default()
+            .record(total);
+        let residual = total.saturating_sub(charged);
+        if residual > 0 {
+            self.add(Stack::Fault(core, kind, None), residual);
         }
     }
 
-    /// Whether spans are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+    pub(crate) fn verb(&mut self, v: &VerbSpan) {
+        self.add(Stack::Verb(v.core, v.class, v.write), v.wire());
     }
 
-    /// Subscribes this profiler to every subsequent event of `sink`. A
-    /// no-op when either side is disabled.
-    pub fn attach_to(&self, sink: &TraceSink) {
-        if let Some(core) = &self.inner {
-            sink.attach(core.clone());
-        }
+    pub(crate) fn reclaim(&mut self, dur: Ns) {
+        self.add(Stack::Reclaim, dur);
     }
 
-    /// Completed fault spans of `kind` (`"major"`, `"minor"`,
-    /// `"zero_fill"`).
+    /// Completed faults of `kind` (`"major"`, `"minor"`, `"zero_fill"`).
     pub fn fault_count(&self, kind: &str) -> u64 {
-        self.inner.as_ref().map_or(0, |core| {
-            core.borrow().counts.get(kind).copied().unwrap_or(0)
-        })
+        self.faults.get(kind).map_or(0, LatencyHistogram::count)
     }
 
-    /// Total virtual ns attributed to `phase` (`"exception"`, `"check"`,
-    /// `"alloc"`, `"fetch"`, `"map"`, `"reclaim"`) across all spans.
+    /// Total virtual ns charged to `phase` (`"exception"`, `"check"`,
+    /// `"alloc"`, `"fetch"`, `"map"`, `"reclaim"`).
     pub fn phase_sum(&self, phase: &str) -> Ns {
-        self.inner.as_ref().map_or(0, |core| {
-            core.borrow().phase_sums.get(phase).copied().unwrap_or(0)
-        })
+        self.phases.get(phase).map_or(0, |h| h.sum() as Ns)
     }
 
-    /// The end-to-end latency histogram for fault `kind`, if any span of
-    /// that kind completed.
-    pub fn histogram(&self, kind: &str) -> Option<LatencyHistogram> {
-        self.inner
-            .as_ref()
-            .and_then(|core| core.borrow().hist.get(kind).cloned())
+    /// The end-to-end latency histogram of fault `kind`, if one completed.
+    pub fn histogram(&self, kind: &str) -> Option<&LatencyHistogram> {
+        self.faults.get(kind)
     }
 
-    /// The per-phase duration histogram for `phase` (`"exception"`,
-    /// `"check"`, `"alloc"`, `"fetch"`, `"map"`, `"reclaim"`), if any span
-    /// charged it.
-    pub fn phase_histogram(&self, phase: &str) -> Option<LatencyHistogram> {
-        self.inner
-            .as_ref()
-            .and_then(|core| core.borrow().phase_hist.get(phase).cloned())
-    }
-
-    /// The folded-stack output, one `stack value` line per stack in
-    /// byte-stable (sorted) order — the format flamegraph.pl and inferno
-    /// consume directly. Disabled profilers emit the empty string.
+    /// The folded-stack output, one `stack value` line per stack sorted by
+    /// stack text — the format flamegraph.pl and inferno consume directly.
     pub fn folded(&self) -> String {
-        let Some(core) = &self.inner else {
-            return String::new();
-        };
-        let c = core.borrow();
+        let mut lines: Vec<(String, u128)> =
+            self.folded.iter().map(|(s, v)| (s.render(), *v)).collect();
+        lines.sort();
         let mut out = String::new();
-        for (stack, value) in &c.folded {
+        for (stack, value) in lines {
             let _ = writeln!(out, "{stack} {value}");
         }
         out
@@ -557,15 +453,10 @@ impl SpanProfiler {
     /// Fault-latency histograms as a byte-stable JSON object keyed by fault
     /// kind. Each entry carries summary statistics plus the occupied bucket
     /// boundaries (`[low_ns, high_ns, count]`, bounds inclusive) so
-    /// consumers can re-plot the distribution without the binary. Disabled
-    /// profilers emit `{}`.
+    /// consumers can re-plot the distribution without the binary.
     pub fn histograms_json(&self) -> String {
-        let Some(core) = &self.inner else {
-            return "{}".to_string();
-        };
-        let c = core.borrow();
         let mut out = String::from("{");
-        for (i, (kind, h)) in c.hist.iter().enumerate() {
+        for (i, (kind, h)) in self.faults.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
@@ -595,17 +486,11 @@ impl SpanProfiler {
     }
 
     /// Per-phase latency quantiles as a byte-stable JSON object keyed by
-    /// phase label: count plus p50/p90/p99/p999 of the per-span phase
-    /// durations. Complements [`SpanProfiler::phase_sum`] (aggregate) with
-    /// tail shape — the question the causal tail report asks in bulk.
-    /// Disabled profilers emit `{}`.
+    /// phase label: count plus p50/p90/p99/p999 of the per-fault phase
+    /// durations — the tail shape behind [`Profile::phase_sum`].
     pub fn phase_quantiles_json(&self) -> String {
-        let Some(core) = &self.inner else {
-            return "{}".to_string();
-        };
-        let c = core.borrow();
         let mut out = String::from("{");
-        for (i, (phase, h)) in c.phase_hist.iter().enumerate() {
+        for (i, (phase, h)) in self.phases.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
@@ -628,7 +513,15 @@ impl SpanProfiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::ServiceClass;
+    use crate::spans::SpanAssembler;
+    use crate::trace::{TraceEvent, TraceSink};
+
+    /// A sink with a profiling assembler attached.
+    fn metered() -> (TraceSink, SpanAssembler) {
+        let sink = TraceSink::recording();
+        let spans = SpanAssembler::attach(&sink, true, false);
+        (sink, spans)
+    }
 
     #[test]
     fn disabled_registry_is_inert_and_emits_nothing() {
@@ -698,10 +591,8 @@ mod tests {
     }
 
     #[test]
-    fn profiler_folds_fault_spans_with_residual() {
-        let p = SpanProfiler::recording();
-        let sink = TraceSink::recording();
-        p.attach_to(&sink);
+    fn profile_folds_fault_spans_with_residual() {
+        let (sink, spans) = metered();
         sink.emit(
             1_000,
             TraceEvent::FaultBegin {
@@ -727,6 +618,7 @@ mod tests {
             },
         );
         sink.emit(3_000, TraceEvent::FaultEnd { core: 1, vpn: 7 });
+        let p = spans.profile();
         assert_eq!(p.fault_count("major"), 1);
         assert_eq!(p.phase_sum("exception"), 500);
         assert_eq!(p.phase_sum("fetch"), 1_200);
@@ -742,10 +634,8 @@ mod tests {
 
     #[test]
     fn phase_quantiles_json_carries_tail_shape() {
-        assert_eq!(SpanProfiler::disabled().phase_quantiles_json(), "{}");
-        let p = SpanProfiler::recording();
-        let sink = TraceSink::recording();
-        p.attach_to(&sink);
+        assert_eq!(Profile::default().phase_quantiles_json(), "{}");
+        let (sink, spans) = metered();
         for (i, dur) in [100u64, 100, 900].iter().enumerate() {
             let core = i as u8;
             sink.emit(
@@ -772,21 +662,24 @@ mod tests {
                 },
             );
         }
+        let p = spans.profile();
         let json = p.phase_quantiles_json();
         assert!(json.starts_with("{\"fetch\": {\"count\": 3, \"p50\": "));
         assert!(json.contains("\"p90\": "));
         assert!(json.contains("\"p999\": "));
         assert_eq!(json, p.phase_quantiles_json(), "byte-stable");
-        let h = p.phase_histogram("fetch").expect("fetch phase histogram");
-        assert_eq!(h.count(), 3);
-        assert!(h.quantile(0.999) >= h.quantile(0.50));
+        // The tail shape: p999 sits on the 900 ns sample, p50 on a 100.
+        assert_eq!(
+            json,
+            "{\"fetch\": {\"count\": 3, \"p50\": 101, \"p90\": 896, \"p99\": 896, \
+             \"p999\": 896}}"
+        );
+        assert_eq!(p.phase_sum("fetch"), 1_100);
     }
 
     #[test]
-    fn profiler_matches_rdma_verbs_fifo_per_qp() {
-        let p = SpanProfiler::recording();
-        let sink = TraceSink::recording();
-        p.attach_to(&sink);
+    fn profile_matches_rdma_verbs_fifo_per_qp() {
+        let (sink, spans) = metered();
         for t in [100, 150] {
             sink.emit(
                 t,
@@ -812,26 +705,26 @@ mod tests {
             );
         }
         // FIFO: (400-100) + (900-150) = 1050.
-        assert!(p.folded().contains("core2;rdma:fault:read 1050\n"));
+        assert!(spans
+            .profile()
+            .folded()
+            .contains("core2;rdma:fault:read 1050\n"));
     }
 
     #[test]
-    fn profiler_folds_reclaim_episodes() {
-        let p = SpanProfiler::recording();
-        let sink = TraceSink::recording();
-        p.attach_to(&sink);
+    fn profile_folds_reclaim_episodes() {
+        let (sink, spans) = metered();
         sink.emit(10, TraceEvent::ReclaimBegin { free: 2 });
         sink.emit(60, TraceEvent::ReclaimEnd { freed: 4 });
         sink.emit(100, TraceEvent::ReclaimBegin { free: 6 });
         sink.emit(130, TraceEvent::ReclaimEnd { freed: 1 });
-        assert_eq!(p.folded(), "bg;reclaim 80\n");
+        assert_eq!(spans.profile().folded(), "bg;reclaim 80\n");
     }
 
     #[test]
-    fn disabled_profiler_emits_nothing() {
-        let p = SpanProfiler::disabled();
+    fn unmetered_profile_emits_nothing() {
         let sink = TraceSink::recording();
-        p.attach_to(&sink);
+        let spans = SpanAssembler::attach(&sink, false, true);
         sink.emit(
             5,
             TraceEvent::FaultBegin {
@@ -841,7 +734,7 @@ mod tests {
             },
         );
         sink.emit(9, TraceEvent::FaultEnd { core: 0, vpn: 1 });
-        assert!(!p.is_enabled());
+        let p = spans.profile();
         assert_eq!(p.folded(), "");
         assert_eq!(p.histograms_json(), "{}");
         assert_eq!(p.fault_count("minor"), 0);
@@ -850,9 +743,7 @@ mod tests {
     #[test]
     fn histograms_json_is_byte_stable_and_carries_buckets() {
         let run = || {
-            let p = SpanProfiler::recording();
-            let sink = TraceSink::recording();
-            p.attach_to(&sink);
+            let (sink, spans) = metered();
             for (i, dur) in [2_000u64, 3_000, 2_500].iter().enumerate() {
                 let t0 = i as Ns * 10_000;
                 sink.emit(
@@ -871,7 +762,7 @@ mod tests {
                     },
                 );
             }
-            p.histograms_json()
+            spans.profile().histograms_json()
         };
         let a = run();
         assert_eq!(a, run(), "histogram JSON must be byte-stable");

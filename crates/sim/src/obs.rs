@@ -1,37 +1,40 @@
 //! The unified observability bundle.
 //!
-//! Before this module, every component (rdma, fabric, memnode, lru) grew a
-//! parallel pair of `set_trace`/`set_metrics` setters and every boot path
-//! threaded three booleans (`trace`/`audit`/`metrics`) through its config.
-//! An [`Observability`] value bundles the trace sink, metrics registry,
-//! span profiler, and the audit flag into one handle that is built once,
-//! handed to the boot path once, and threaded down via a single
+//! An [`Observability`] value bundles one system's trace sink, metrics
+//! registry, span assembler, and audit flag into a handle that is built
+//! once, handed to the boot path once, and threaded down via a single
 //! `observe(&Observability)` call per component.
 //!
-//! The bundle is a set of `Rc` handles (the same "dark when disabled"
-//! pattern the sink and registry already use): cloning it shares the
-//! underlying buffers, so one bundle describes one booted system. Boot two
-//! systems from two bundles — sharing a bundle would interleave their
-//! event streams and change both digests.
+//! The trace sink is the one event stream. Everything that reads spans off
+//! it goes through the one [`SpanAssembler`]: [`Observability::metered`]
+//! attaches it keeping the aggregate profile, and
+//! [`Observability::with_timeline`] makes it keep per-request span trees
+//! too (attaching it first if the bundle had none). The auditor is the
+//! only other observer, attached at boot when the audit flag is set.
+//!
+//! The bundle is a set of `Rc` handles (the "dark when disabled" pattern the
+//! sink and registry use): cloning it shares the underlying buffers, so one
+//! bundle describes one booted system. Boot two systems from two bundles —
+//! sharing a bundle would interleave their event streams and change both
+//! digests.
 
-use crate::causal::CausalTracer;
-use crate::metrics::{MetricsRegistry, SpanProfiler};
+use crate::metrics::MetricsRegistry;
+use crate::spans::SpanAssembler;
 use crate::trace::TraceSink;
 
 /// One system's observability configuration: trace sink, metrics registry,
-/// span profiler, and whether an auditor should be attached at boot.
+/// span assembler, and whether an auditor should be attached at boot.
 ///
 /// Invariants maintained by the constructors:
-/// - `audit` or metered implies a recording trace sink (the auditor and the
-///   profiler are both trace observers).
-/// - a recording profiler is already attached to the sink; boot paths must
+/// - `audit`, metered, or a timeline implies a recording trace sink (the
+///   auditor and the assembler are both trace observers).
+/// - a recording assembler is already attached to the sink; boot paths must
 ///   not attach it again.
 #[derive(Debug, Clone)]
 pub struct Observability {
     trace: TraceSink,
     metrics: MetricsRegistry,
-    profiler: SpanProfiler,
-    causal: CausalTracer,
+    spans: SpanAssembler,
     audit: bool,
 }
 
@@ -47,8 +50,7 @@ impl Observability {
         Self {
             trace: TraceSink::disabled(),
             metrics: MetricsRegistry::disabled(),
-            profiler: SpanProfiler::disabled(),
-            causal: CausalTracer::disabled(),
+            spans: SpanAssembler::disabled(),
             audit: false,
         }
     }
@@ -81,22 +83,20 @@ impl Observability {
         }
     }
 
-    /// Tracing plus the metrics registry and span profiler. The profiler is
-    /// attached to the sink here, once.
+    /// Tracing plus the metrics registry and the span assembler's aggregate
+    /// profile. The assembler is attached to the sink here, once.
     pub fn metered() -> Self {
         let trace = TraceSink::recording();
-        let profiler = SpanProfiler::recording();
-        profiler.attach_to(&trace);
+        let spans = SpanAssembler::attach(&trace, true, false);
         Self {
             trace,
             metrics: MetricsRegistry::recording(),
-            profiler,
-            causal: CausalTracer::disabled(),
+            spans,
             audit: false,
         }
     }
 
-    /// Everything on: tracing, auditor, metrics, profiler.
+    /// Everything on: tracing, auditor, metrics, profile.
     pub fn full() -> Self {
         Self {
             audit: true,
@@ -104,19 +104,19 @@ impl Observability {
         }
     }
 
-    /// Arms causal request tracing on an existing bundle: attaches a
-    /// recording [`CausalTracer`] to the trace sink (once). The tracer is a
-    /// pure observer riding the side-band request ids, so arming it leaves
-    /// the run's digest byte-identical — see `crates/sim/src/causal.rs`.
+    /// Arms causal request tracing on an existing bundle: the span
+    /// assembler keeps per-request span trees (attached to the sink first
+    /// if the bundle had none). It is a pure observer riding the side-band
+    /// request ids, so arming it leaves the run's digest byte-identical.
     pub fn with_timeline(mut self) -> Self {
         debug_assert!(
             self.trace.is_enabled(),
             "timeline requires a recording trace sink"
         );
-        if !self.causal.is_enabled() {
-            let causal = CausalTracer::recording();
-            causal.attach_to(&self.trace);
-            self.causal = causal;
+        if self.spans.is_enabled() {
+            self.spans.keep_requests();
+        } else {
+            self.spans = SpanAssembler::attach(&self.trace, false, true);
         }
         self
     }
@@ -142,15 +142,10 @@ impl Observability {
         &self.metrics
     }
 
-    /// The shared span profiler handle.
-    pub fn profiler(&self) -> &SpanProfiler {
-        &self.profiler
-    }
-
-    /// The shared causal tracer handle (dark unless
-    /// [`Observability::with_timeline`] armed it).
-    pub fn causal(&self) -> &CausalTracer {
-        &self.causal
+    /// The shared span assembler handle (dark unless metered or armed with
+    /// [`Observability::with_timeline`]).
+    pub fn spans(&self) -> &SpanAssembler {
+        &self.spans
     }
 
     /// Whether the boot path should attach an online auditor.
@@ -168,7 +163,7 @@ mod tests {
         let none = Observability::none();
         assert!(!none.trace().is_enabled());
         assert!(!none.metrics().is_enabled());
-        assert!(!none.profiler().is_enabled());
+        assert!(!none.spans().is_enabled());
         assert!(!none.audit());
 
         let tracing = Observability::tracing();
@@ -183,7 +178,7 @@ mod tests {
         let metered = Observability::metered();
         assert!(metered.trace().is_enabled());
         assert!(metered.metrics().is_enabled());
-        assert!(metered.profiler().is_enabled());
+        assert!(metered.spans().is_enabled());
         assert!(!metered.audit());
 
         let full = Observability::full();
@@ -194,17 +189,17 @@ mod tests {
     #[test]
     fn with_timeline_arms_the_causal_tracer_once() {
         let obs = Observability::tracing();
-        assert!(!obs.causal().is_enabled());
+        assert!(!obs.spans().is_enabled());
         let armed = obs.with_timeline();
-        assert!(armed.causal().is_enabled());
+        assert!(armed.spans().is_enabled());
         // Idempotent: re-arming must not attach a second observer.
         let again = armed.clone().with_timeline();
         again.trace().begin_request();
         again
             .trace()
             .emit(1, crate::trace::TraceEvent::PrefetchIssue { vpn: 4 });
-        assert_eq!(again.causal().request_count(), 1);
-        let reqs = again.causal().requests();
+        assert_eq!(again.spans().request_count(), 1);
+        let reqs = again.spans().requests();
         assert_eq!(reqs[0].events.len(), 1, "one observer, one record");
     }
 

@@ -87,7 +87,7 @@ fn timeline_leaves_trace_digests_unchanged() {
             // it just has nothing to assemble.
             if kind != SystemKind::Aifm {
                 assert!(
-                    obs.causal().request_count() > 0,
+                    obs.spans().request_count() > 0,
                     "{} @ {ratio}%: armed run assembled no span trees",
                     kind.label()
                 );
@@ -310,7 +310,7 @@ fn timeline_json_is_valid_chrome_trace_event_json() {
         pages: 256,
         ratio: 25,
     });
-    let pairs: Vec<(String, &dilos::sim::CausalTracer)> = tracks
+    let pairs: Vec<(String, &dilos::sim::SpanAssembler)> = tracks
         .iter()
         .map(|t| (t.label.clone(), &t.tracer))
         .collect();

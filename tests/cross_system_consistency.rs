@@ -215,7 +215,7 @@ fn randomized_mixed_rw_is_system_independent() {
 }
 
 /// Trace-derived telemetry must agree with the hand-maintained counters:
-/// the span profiler counts faults by watching `FaultBegin` events, while
+/// the span assembler counts the fault spans it pairs off the trace, while
 /// each system increments its own stats fields on the fault path. A
 /// divergence means either the trace or the stats lies about what ran.
 #[test]
@@ -225,8 +225,9 @@ fn trace_derived_metrics_match_hand_counters() {
 
     for kind in SYSTEMS {
         for ratio in [13u32, 50] {
+            let obs = Observability::metered();
             let mut mem = SystemSpec::for_working_set(kind, WS as u64, ratio)
-                .observed(Observability::metered())
+                .observed(obs.clone())
                 .boot();
             let base = mem.alloc(WS);
             let mut rng = Rng(0xFEED_F00D);
@@ -246,14 +247,14 @@ fn trace_derived_metrics_match_hand_counters() {
             // Quiesce so late minor-fault completions and background
             // reclaim are all delivered before comparing.
             mem.trace_digest();
-            let profiler = mem.profiler();
+            let profiler = obs.spans().profile();
             let (major, minor, zero) = mem.fault_counters();
             let tag = format!("{} @ {ratio}%", kind.label());
             assert_eq!(profiler.fault_count("major"), major, "{tag}: major");
             assert_eq!(profiler.fault_count("minor"), minor, "{tag}: minor");
             assert_eq!(profiler.fault_count("zero_fill"), zero, "{tag}: zero");
             assert!(major > 0, "{tag}: workload produced no major faults");
-            // DiLOS keeps a per-phase breakdown; the profiler's phase sums
+            // DiLOS keeps a per-phase breakdown; the profile's phase sums
             // (derived from FaultPhase trace spans) must equal it exactly.
             for (phase, ns) in mem.phase_sums() {
                 assert_eq!(

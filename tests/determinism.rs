@@ -94,7 +94,9 @@ fn reclaim_episodes_evict_at_distinct_virtual_times() {
     // trace_digest() quiesces the event calendar, so every in-flight
     // reclaim tick has landed and every open episode is closed.
     let _ = mem.trace_digest();
-    let events = mem.as_dilos().expect("DiLOS node").trace().events();
+    let trace = mem.as_dilos().expect("DiLOS node").trace();
+    assert_eq!(trace.dropped(), 0, "the ring must hold the whole run");
+    let events = trace.events();
 
     let mut in_episode = false;
     let mut last_evict: Option<u64> = None;
@@ -142,7 +144,7 @@ fn reclaim_episodes_evict_at_distinct_virtual_times() {
     );
 }
 
-/// The metrics registry, sampler, and span profiler must be pure observers:
+/// The metrics registry, sampler, and span assembler must be pure observers:
 /// booting with metrics on cannot change a single event in the trace. The
 /// sampler runs on a registry-private calendar precisely so its ticks never
 /// reach the systems' event loops.
@@ -184,17 +186,18 @@ fn metrics_leave_trace_digests_unchanged() {
 }
 
 /// Same seed, two fresh metered boots: every telemetry artifact must come
-/// out byte-identical — counters, gauge series, and folded profiler stacks.
+/// out byte-identical — counters, gauge series, and folded profile stacks.
 #[test]
 fn telemetry_artifacts_are_byte_identical_across_boots() {
     let run = || {
+        let obs = Observability::metered();
         let spec = SystemSpec::for_working_set(SystemKind::DilosReadahead, WS_PAGES * 4096, 13)
-            .observed(Observability::metered());
+            .observed(obs.clone());
         let mut mem = spec.boot();
         drive(mem.as_mut(), 0xBEEF);
         mem.trace_digest();
         let m = mem.metrics();
-        let p = mem.profiler();
+        let p = obs.spans().profile();
         (
             m.counters_json(),
             m.gauges_json(),
@@ -210,7 +213,7 @@ fn telemetry_artifacts_are_byte_identical_across_boots() {
     assert_eq!(a.2, b.2, "series diverged");
     assert_eq!(a.3, b.3, "folded stacks diverged");
     assert_eq!(a.4, b.4, "histograms diverged");
-    assert!(!a.3.is_empty(), "metered run must produce profiler spans");
+    assert!(!a.3.is_empty(), "metered run must produce profile stacks");
 }
 
 /// A system booted without `--metrics` carries disabled handles that record
@@ -218,12 +221,13 @@ fn telemetry_artifacts_are_byte_identical_across_boots() {
 #[test]
 fn disabled_telemetry_emits_nothing() {
     let spec = SystemSpec::for_working_set(SystemKind::DilosReadahead, WS_PAGES * 4096, 13);
+    let spans = spec.obs.spans().clone();
     let mut mem = spec.boot();
     drive(mem.as_mut(), 3);
     let m = mem.metrics();
-    let p = mem.profiler();
+    let p = spans.profile();
     assert!(!m.is_enabled());
-    assert!(!p.is_enabled());
+    assert!(!spans.is_enabled());
     assert_eq!(m.samples(), 0);
     assert_eq!(m.counters_json(), "{}");
     assert_eq!(m.gauges_json(), "{}");
