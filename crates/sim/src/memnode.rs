@@ -284,9 +284,9 @@ impl MemoryNode {
         self.pages.page_numbers()
     }
 
-    /// Control-path snapshot of one materialized page (no rkey check, no
+    /// Control-path copy of one materialized page (no rkey check, no
     /// trace) — `None` if the page was never written.
-    pub fn page_snapshot(&self, page: u64) -> Option<&[u8; PAGE_SIZE]> {
+    pub fn page_snapshot(&self, page: u64) -> Option<Box<[u8; PAGE_SIZE]>> {
         self.pages.snapshot(page)
     }
 

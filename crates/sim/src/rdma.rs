@@ -560,7 +560,7 @@ impl RdmaEndpoint {
                 .replicas(p << 12)
                 .find(|&r| r != i && self.nodes[r].alive);
             let Some(src) = src else { continue };
-            let Some(page) = self.nodes[src].node.page_snapshot(p).copied() else {
+            let Some(page) = self.nodes[src].node.page_snapshot(p) else {
                 continue;
             };
             self.nodes[i].node.install_page(p, &page);
@@ -618,7 +618,7 @@ impl RdmaEndpoint {
                         self.nodes[n]
                             .node
                             .page_snapshot(page)
-                            .map_or_else(|| vec![0u8; PAGE_SIZE], |p| p.to_vec()),
+                            .map_or_else(|| vec![0u8; PAGE_SIZE], |p| (p as Box<[u8]>).into_vec()),
                     )
                 })
                 .collect();
