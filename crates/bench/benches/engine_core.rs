@@ -1,15 +1,16 @@
-//! Engine-core micro-benches: the arena-backed `Calendar` and the intrusive
-//! LRU chain, measured in isolation.
+//! Engine-core micro-benches: the arena-backed `Calendar`, the intrusive
+//! LRU chain and the memory node's `FlatStore`, measured in isolation.
 //!
-//! These are the two hot structures behind every simulated fault: the
-//! calendar absorbs a schedule/cancel/drain cycle per background completion,
-//! and the LRU chain a touch per access plus a coldest/remove pair per
-//! eviction. The figure benches measure them only end-to-end; this target
-//! pins their standalone costs so a regression is attributable to the
-//! structure, not the workload around it.
+//! These are hot structures behind every simulated fault: the calendar
+//! absorbs a schedule/cancel/drain cycle per background completion, the LRU
+//! chain a touch per access plus a coldest/remove pair per eviction, and
+//! the store a `write_at` per write-back and a `read_into` per fetch. The
+//! figure benches measure them only end-to-end; this target pins their
+//! standalone costs so a regression is attributable to the structure, not
+//! the workload around it.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dilos_sim::{Calendar, LruChain, SchedEvent};
+use dilos_sim::{Calendar, FlatStore, LruChain, MemStore, SchedEvent, PAGE_SIZE};
 
 const EVENTS: usize = 4_096;
 const PAGES: u64 = 4_096;
@@ -114,5 +115,42 @@ fn bench(c: &mut Criterion) {
     });
 }
 
-criterion_group! { name = benches; config = config(); targets = bench }
+/// Store benches over `PAGES` pages of two shapes: *stamp* pages carry 8
+/// live bytes (a sequential scan's stamps, kept as short pages) and
+/// *dense* pages a full 4 KiB of non-zero bytes (full slots).
+fn store_bench(c: &mut Criterion) {
+    let stamp = [0xA5u8; 8];
+    let dense = [0x5Au8; PAGE_SIZE];
+    for (shape, data) in [("stamp", &stamp[..]), ("dense", &dense[..])] {
+        c.bench_function(&format!("store_write_at_{shape}_4k"), |b| {
+            // Materializes every page into a fresh store, as a populate
+            // does, then drops it.
+            b.iter(|| {
+                let mut store = FlatStore::new();
+                for p in 0..PAGES {
+                    store.write_at(p, 0, data, data.len());
+                }
+                black_box(store.len())
+            })
+        });
+
+        c.bench_function(&format!("store_read_into_{shape}_4k"), |b| {
+            let mut store = FlatStore::new();
+            for p in 0..PAGES {
+                store.write_at(p, 0, data, data.len());
+            }
+            // Whole-page reads, as a demand fetch issues them.
+            let mut out = [0u8; PAGE_SIZE];
+            b.iter(|| {
+                let mut live = 0usize;
+                for p in 0..PAGES {
+                    live += store.read_into(p, 0, &mut out);
+                }
+                black_box(live)
+            })
+        });
+    }
+}
+
+criterion_group! { name = benches; config = config(); targets = bench, store_bench }
 criterion_main!(benches);
